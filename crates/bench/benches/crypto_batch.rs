@@ -48,7 +48,6 @@ fn bench_field(c: &mut Criterion) {
 
     // Both operands are below `p` already (small top limbs), i.e. canonical.
     group.bench_function("mul_fold", |b| b.iter(|| P.mul(&base, &exp)));
-    group.bench_function("mul_montgomery", |b| b.iter(|| P.mont_mul(&base, &exp)));
     group.bench_function("sqr", |b| b.iter(|| P.sqr(&base)));
     group.finish();
 }

@@ -3,10 +3,10 @@
 //! Each invocation hosts a subset of the anytrust groups of a
 //! deterministically derived workload (see `atom_bench::netbench`) and
 //! talks to its peers over `TcpTransport`. Process 0 is the coordinator:
-//! it verifies submission intake, injects the iteration-0 batches,
-//! collects every group's exit frame and reports the round outputs.
-//! Groups are assigned round-robin over all processes (coordinator
-//! included).
+//! it runs the fleet's control plane (`atom_runtime::fleet`), verifies
+//! submission intake, injects the iteration-0 batches, collects every
+//! group's exit frame and reports the round outputs. Groups are assigned
+//! round-robin over all processes (coordinator included).
 //!
 //! A two-process loopback run:
 //!
@@ -19,35 +19,36 @@
 //! ```
 //!
 //! Every process must receive the same `--addrs`, `--groups`, `--rounds`,
-//! `--messages`, `--iterations`, `--seed` and `--sharded`; the workload
-//! derivation is a pure function of those, which is what makes the run
-//! coordination-free (the full operator guide, including N-process and
-//! multi-machine invocations, is `docs/operations.md`). With `--out`, the
-//! coordinator writes the canonical serialization of the round outputs —
-//! the TCP equivalence test diffs it byte-for-byte against a
-//! single-process in-memory run of the same spec.
+//! `--messages`, `--iterations`, `--seed`, `--sharded`, `--honest` and
+//! `--batch`; the workload derivation is a pure function of those, which
+//! is what makes the run coordination-free (the full operator guide,
+//! including N-process and multi-machine invocations, is
+//! `docs/operations.md`). With `--out`, the coordinator writes the
+//! canonical serialization of the round outputs — the TCP equivalence
+//! tests diff it byte-for-byte against an in-memory run of the same spec.
 //!
 //! Once its setup (bind, connect, job derivation) is done, every process
 //! prints `atom-process-ready` on stdout — the readiness handshake
 //! orchestrators (`netbench::ProcessFleet`) wait on. `--stall-timeout-ms`
 //! bounds how long the engine waits with no progress before declaring a
-//! silent peer dead and failing the affected rounds.
+//! silent peer dead.
+//!
+//! Every deployment *heals*: rounds run in batches of `--batch` (default:
+//! all rounds in one batch), separated by a membership handshake, and a
+//! vanished process is evicted — the survivors re-form its groups and keep
+//! delivering — rather than fatal. A fault-free run is one handshake and
+//! one pipelined engine run. `--honest` sets the per-group honest-member
+//! assumption `h` (losses up to `h − 1` per group heal by Lagrange
+//! reweighting, deeper ones via buddy escrow). A member restarted after a
+//! crash passes `--rejoin`: it announces itself to the coordinator with a
+//! catch-up handshake and is readmitted at the next healthy batch
+//! boundary. A smaller `--batch` gives more such boundaries.
 //!
 //! With `--sharded`, round setup itself is distributed: each process runs
 //! only the DKGs of the groups it hosts and ships the public keys to its
 //! peers as `setup` frames, instead of every process re-deriving the full
 //! directory before the engine starts. The coordinator reports the
 //! measured per-round setup latency.
-//!
-//! With `--heal`, the process joins a *self-healing* deployment instead
-//! (`atom_bench::heal`): rounds run in batches of `--batch`, separated by
-//! a membership handshake, and a vanished process is evicted — the
-//! survivors re-form its groups and keep delivering — rather than fatal.
-//! `--honest` sets the per-group honest-member assumption `h` (losses up
-//! to `h − 1` per group heal by Lagrange reweighting, deeper ones via
-//! buddy escrow). A member restarted after a crash passes `--rejoin` as
-//! well: it announces itself to the coordinator with a catch-up handshake
-//! and is readmitted at the next healthy batch boundary.
 //!
 //! With `--trace PATH` on **every** process, each one records `atom-obs`
 //! spans and counters while it runs; members ship their snapshots to the
@@ -59,9 +60,8 @@
 //! `docs/observability.md` for the schemas.
 
 use std::io::Write;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use atom_bench::heal;
 use atom_bench::netbench::{self, NetSpec};
 
 struct Args {
@@ -70,14 +70,12 @@ struct Args {
     index: usize,
     workers: usize,
     out: Option<String>,
-    /// Self-healing mode: survive member loss via eviction + re-formation.
-    heal: bool,
-    /// Healing member only: announce as a restarted process (rejoin
-    /// handshake) instead of expecting to be part of the fleet from round 0.
+    /// Member only: announce as a restarted process (rejoin handshake)
+    /// instead of expecting to be part of the fleet from round 0.
     rejoin: bool,
-    /// Healing mode: rounds per batch (the re-formation / readmission
-    /// boundary spacing).
-    batch: usize,
+    /// Rounds per batch (the re-formation / readmission boundary spacing);
+    /// defaults to every round in one batch.
+    batch: Option<usize>,
     /// Coordinator: write the merged fleet Chrome trace here. Members pass
     /// the flag with any path to turn recording on (their snapshots travel
     /// to the coordinator as telemetry frames; the path is ignored).
@@ -93,9 +91,8 @@ fn parse_args() -> Args {
         index: 0,
         workers: 2,
         out: None,
-        heal: false,
         rejoin: false,
-        batch: 1,
+        batch: None,
         trace: None,
         metrics_out: None,
     };
@@ -136,12 +133,8 @@ fn parse_args() -> Args {
                     Duration::from_millis(num("--stall-timeout-ms", grab("--stall-timeout-ms")))
             }
             "--honest" => args.spec.honest = num("--honest", grab("--honest")) as usize,
-            "--heal" => args.heal = true,
-            "--rejoin" => {
-                args.heal = true;
-                args.rejoin = true;
-            }
-            "--batch" => args.batch = num("--batch", grab("--batch")) as usize,
+            "--rejoin" => args.rejoin = true,
+            "--batch" => args.batch = Some(num("--batch", grab("--batch")) as usize),
             "--out" => args.out = Some(grab("--out")),
             "--trace" => args.trace = Some(grab("--trace")),
             "--metrics-out" => args.metrics_out = Some(grab("--metrics-out")),
@@ -160,173 +153,115 @@ fn parse_args() -> Args {
         args.index,
         args.addrs.len()
     );
+    assert!(
+        args.trace.is_some() || args.metrics_out.is_none(),
+        "--metrics-out needs --trace (recording is off otherwise)"
+    );
     args
 }
 
-/// The self-healing variant: coordinator runs the recovery loop, members
-/// the plan/ack/go handshake loop. Exits non-zero on an unrecoverable
-/// failure; member-side round failures during churn are expected and do
-/// not fail the process (the coordinator owns the diagnosis).
-fn run_heal(args: &Args) {
-    if args.index == 0 {
-        let start = Instant::now();
-        let outcome = heal::run_recovery_coordinator(
-            &args.spec,
-            args.batch,
-            args.addrs.clone(),
-            args.workers,
-            None,
-        )
-        .unwrap_or_else(|error| {
-            eprintln!("atom-node coordinator: recovery failed: {error}");
-            std::process::exit(1);
-        });
-        let wall = start.elapsed();
-        let delivered: usize = outcome
-            .reports
+/// Prints the readiness line an orchestrator (`netbench::ProcessFleet`)
+/// waits for: setup is done and this engine is about to run.
+fn signal_ready() {
+    println!("{}", netbench::READY_LINE);
+    std::io::stdout().flush().expect("flush readiness signal");
+}
+
+fn fail(role: &str, error: String) -> ! {
+    eprintln!("atom-node {role}: {error}");
+    std::process::exit(1);
+}
+
+/// Process 0: runs the fleet to completion and reports the outputs. Exits
+/// non-zero on an unrecoverable failure.
+fn run_coordinator(args: &Args, batch: usize) {
+    let spec = &args.spec;
+    let coordinator = netbench::connect_coordinator(spec, batch, args.addrs.clone())
+        .unwrap_or_else(|error| fail("coordinator", error));
+    signal_ready();
+    let outcome = coordinator
+        .run(netbench::engine_options(spec, args.workers, 0))
+        .unwrap_or_else(|error| fail("coordinator", format!("recovery failed: {error}")));
+    let reports = &outcome.reports;
+    let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
+    assert_eq!(
+        delivered,
+        spec.rounds * spec.messages,
+        "no message may be lost"
+    );
+    let wall = outcome.wall;
+    let rate = delivered as f64 / wall.as_secs_f64();
+    println!(
+        "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
+         -> {delivered} delivered in {wall:.2?} ({rate:.1} msgs/sec); {} epoch(s), \
+         {} eviction(s), {} rejoin(s)",
+        args.addrs.len(),
+        spec.groups,
+        spec.rounds,
+        spec.messages,
+        outcome.epochs,
+        outcome.evictions.len(),
+        outcome.rejoins.len(),
+    );
+    if let Some(latency) = outcome.healed_latency {
+        println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
+    }
+    if spec.sharded {
+        let setup_max = reports
             .iter()
-            .map(|r| r.output.plaintexts.len())
-            .sum();
+            .map(|r| r.setup_latency)
+            .max()
+            .unwrap_or_default();
         println!(
-            "atom-node coordinator: healed deployment — {} rounds in {} epoch(s), \
-             {} eviction(s), {} rejoin(s), {delivered} delivered in {wall:.2?}",
-            args.spec.rounds,
-            outcome.epochs,
-            outcome.evictions.len(),
-            outcome.rejoins.len(),
-        );
-        if let Some(latency) = outcome.healed_latency {
-            println!("atom-node coordinator: detection -> first healed round in {latency:.2?}");
-        }
-        if let Some(path) = &args.out {
-            std::fs::write(path, netbench::serialize_reports(&outcome.reports))
-                .expect("write round outputs");
-            println!("atom-node coordinator: outputs written to {path}");
-        }
-    } else {
-        let result = heal::run_healing_member(
-            &args.spec,
-            args.batch,
-            args.addrs.clone(),
-            args.index,
-            args.workers,
-            args.rejoin,
-            || {
-                println!("{}", netbench::READY_LINE);
-                std::io::stdout().flush().expect("flush readiness signal");
-            },
-        );
-        if let Err(error) = result {
-            eprintln!("atom-node member {}: {error}", args.index);
-            std::process::exit(1);
-        }
-        println!(
-            "atom-node member {}: left the healed deployment cleanly",
-            args.index
+            "atom-node coordinator: sharded directory — max per-round setup latency \
+             {setup_max:.2?} (overlapped across rounds, not additive)"
         );
     }
+    if let Some(path) = &args.out {
+        std::fs::write(path, netbench::serialize_reports(reports)).expect("write round outputs");
+        println!("atom-node coordinator: outputs written to {path}");
+    }
+    if let Some(path) = &args.trace {
+        let telemetry: Vec<atom_obs::Snapshot> = reports
+            .iter()
+            .flat_map(|report| report.telemetry.iter().cloned())
+            .collect();
+        std::fs::write(path, atom_obs::chrome_trace_json(&telemetry))
+            .expect("write fleet trace JSON");
+        println!(
+            "atom-node coordinator: fleet trace written to {path} ({} snapshots)",
+            telemetry.len()
+        );
+        print!("{}", atom_obs::text_summary(&telemetry));
+        if let Some(metrics_path) = &args.metrics_out {
+            std::fs::write(metrics_path, atom_obs::metrics_json(&telemetry))
+                .expect("write metrics JSON");
+            println!("atom-node coordinator: metrics written to {metrics_path}");
+        }
+    }
+}
+
+/// Process `index > 0`: follows the coordinator's plans until its done
+/// sentinel. Member-side round failures during churn are expected and do
+/// not fail the process (the coordinator owns the diagnosis).
+fn run_member(args: &Args, batch: usize) {
+    let role = format!("member {}", args.index);
+    let spec = &args.spec;
+    let member = netbench::connect_member(spec, batch, args.addrs.clone(), args.index, args.rejoin)
+        .unwrap_or_else(|error| fail(&role, error));
+    signal_ready();
+    member
+        .run(netbench::engine_options(spec, args.workers, args.index))
+        .unwrap_or_else(|error| fail(&role, error));
+    println!("atom-node {role}: left the deployment cleanly");
 }
 
 fn main() {
     let args = parse_args();
-    if args.heal {
-        run_heal(&args);
-        return;
-    }
-    // Setup (job derivation, bind, connect retries) first, then the
-    // readiness line: an orchestrator (`netbench::ProcessFleet`) waiting
-    // for it knows this engine is about to run, so its timed region starts
-    // with the whole deployment ready.
-    let process =
-        netbench::Process::start(&args.spec, args.addrs.clone(), args.index, args.workers);
-    println!("{}", netbench::READY_LINE);
-    std::io::stdout().flush().expect("flush readiness signal");
-
-    let start = Instant::now();
-    let results = process.try_run();
-    let wall = start.elapsed();
-    // A lost peer or a failed round surfaces as per-round errors (the
-    // engine's send-failure containment and stall detector guarantee it);
-    // report every one and exit non-zero so an orchestrator sees a status,
-    // not a hang.
-    let failures: Vec<String> = results
-        .iter()
-        .enumerate()
-        .filter_map(|(round, result)| {
-            result
-                .as_ref()
-                .err()
-                .map(|error| format!("round {round}: {error:?}"))
-        })
-        .collect();
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("atom-node process {}: {failure}", args.index);
-        }
-        std::process::exit(1);
-    }
-    let reports: Vec<_> = results
-        .into_iter()
-        .map(|r| r.expect("checked above"))
-        .collect();
-
+    let batch = args.batch.unwrap_or(args.spec.rounds).max(1);
     if args.index == 0 {
-        let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
-        let expected = args.spec.rounds * args.spec.messages;
-        assert_eq!(delivered, expected, "no message may be lost");
-        let rate = delivered as f64 / wall.as_secs_f64();
-        println!(
-            "atom-node coordinator: {} processes, {} groups, {} rounds x {} messages \
-             -> {delivered} delivered in {wall:.2?} ({rate:.1} msgs/sec)",
-            args.addrs.len(),
-            args.spec.groups,
-            args.spec.rounds,
-            args.spec.messages,
-        );
-        if args.spec.sharded {
-            let setup_max = reports
-                .iter()
-                .map(|r| r.setup_latency)
-                .max()
-                .unwrap_or_default();
-            println!(
-                "atom-node coordinator: sharded directory — max per-round setup latency \
-                 {setup_max:.2?} (overlapped across rounds, not additive)"
-            );
-        }
-        if let Some(path) = &args.out {
-            std::fs::write(path, netbench::serialize_reports(&reports))
-                .expect("write round outputs");
-            println!("atom-node coordinator: outputs written to {path}");
-        }
-        if let Some(path) = &args.trace {
-            let telemetry: Vec<atom_obs::Snapshot> = reports
-                .iter()
-                .flat_map(|report| report.telemetry.iter().cloned())
-                .collect();
-            std::fs::write(path, atom_obs::chrome_trace_json(&telemetry))
-                .expect("write fleet trace JSON");
-            println!(
-                "atom-node coordinator: fleet trace written to {path} \
-                 ({} snapshots)",
-                telemetry.len()
-            );
-            print!("{}", atom_obs::text_summary(&telemetry));
-            if let Some(metrics_path) = &args.metrics_out {
-                std::fs::write(metrics_path, atom_obs::metrics_json(&telemetry))
-                    .expect("write metrics JSON");
-                println!("atom-node coordinator: metrics written to {metrics_path}");
-            }
-        } else {
-            assert!(
-                args.metrics_out.is_none(),
-                "--metrics-out needs --trace (recording is off otherwise)"
-            );
-        }
+        run_coordinator(&args, batch);
     } else {
-        println!(
-            "atom-node member {}: hosted its groups to completion in {wall:.2?}",
-            args.index
-        );
+        run_member(&args, batch);
     }
 }

@@ -161,13 +161,6 @@ fn main() {
         }
         acc
     }) / 1000.0;
-    let mul_montgomery_us = time_us(args.iters, || {
-        let mut acc = base;
-        for _ in 0..1000 {
-            acc = P.mont_mul(&acc, &exp);
-        }
-        acc
-    }) / 1000.0;
 
     // EncProof: per-proof vs batch over BATCH submissions.
     let mut rng = StdRng::seed_from_u64(1);
@@ -279,7 +272,7 @@ fn main() {
     let json = format!(
         "{{\n  \"batch_size\": {BATCH},\n  \"pow_naive_us\": {pow_naive_us:.2},\n  \
          \"pow_windowed_us\": {pow_windowed_us:.2},\n  \"pow_fixed_base_us\": {pow_fixed_base_us:.2},\n  \
-         \"mul_fold_us\": {mul_fold_us:.4},\n  \"mul_montgomery_us\": {mul_montgomery_us:.4},\n  \
+         \"mul_fold_us\": {mul_fold_us:.4},\n  \
          \"enc_verify_naive_us\": {enc_naive_us:.2},\n  \
          \"enc_verify_per_proof_us\": {enc_per_proof_us:.2},\n  \"enc_verify_batch_us\": {enc_batch_us:.2},\n  \
          \"reenc_verify_per_proof_us\": {reenc_per_proof_us:.2},\n  \"reenc_verify_batch_us\": {reenc_batch_us:.2},\n  \

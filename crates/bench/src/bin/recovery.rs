@@ -1,8 +1,8 @@
 //! The recovery experiment: measures how fast a self-healing fleet gets
 //! back to delivering rounds after losing a member.
 //!
-//! Runs a three-OS-process healing deployment (coordinator in this
-//! process, two `--heal-member` children — this binary re-executed),
+//! Runs a three-OS-process fleet (coordinator in this process, two
+//! `--member` children — this binary re-executed),
 //! SIGKILLs member 2 after round `--kill-at` completes, restarts it with
 //! the rejoin handshake after round `--restart-at`, and records:
 //!
@@ -23,7 +23,6 @@ use std::process::Command;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use atom_bench::heal;
 use atom_bench::netbench::{self, NetSpec, ProcessFleet};
 use atom_bench::recovery::RecoveryBaseline;
 use atom_runtime::RoundCompleteHook;
@@ -38,7 +37,7 @@ struct Args {
     kill_at: usize,
     restart_at: usize,
     out: Option<String>,
-    /// Internal: run as one healing member of the fleet.
+    /// Internal: run as one member of the fleet.
     member: Option<(usize, Vec<String>, bool)>,
 }
 
@@ -96,7 +95,7 @@ fn parse_args() -> Args {
             "--kill-at" => args.kill_at = num("--kill-at", grab("--kill-at")) as usize,
             "--restart-at" => args.restart_at = num("--restart-at", grab("--restart-at")) as usize,
             "--out" => args.out = Some(grab("--out")),
-            "--heal-member" => is_member = true,
+            "--member" => is_member = true,
             "--index" => index = num("--index", grab("--index")) as usize,
             "--addrs" => addrs = grab("--addrs").split(',').map(str::to_string).collect(),
             "--rejoin" => rejoin = true,
@@ -114,11 +113,11 @@ fn parse_args() -> Args {
     args
 }
 
-/// The `--heal-member` command hosting process `index` of this deployment.
+/// The `--member` command hosting process `index` of this deployment.
 fn member_command(args: &Args, addrs: &[String], index: usize, rejoin: bool) -> Command {
     let mut command = Command::new(std::env::current_exe().expect("own binary path"));
     command
-        .arg("--heal-member")
+        .arg("--member")
         .arg("--index")
         .arg(index.to_string())
         .arg("--addrs")
@@ -150,19 +149,14 @@ fn member_command(args: &Args, addrs: &[String], index: usize, rejoin: bool) -> 
 fn main() {
     let args = parse_args();
     if let Some((index, addrs, rejoin)) = &args.member {
-        let result = heal::run_healing_member(
-            &args.spec,
-            args.batch,
-            addrs.clone(),
-            *index,
-            args.workers,
-            *rejoin,
-            || {
-                use std::io::Write;
-                println!("{}", netbench::READY_LINE);
-                std::io::stdout().flush().expect("flush readiness signal");
-            },
-        );
+        let result =
+            netbench::connect_member(&args.spec, args.batch, addrs.clone(), *index, *rejoin)
+                .and_then(|member| {
+                    use std::io::Write;
+                    println!("{}", netbench::READY_LINE);
+                    std::io::stdout().flush().expect("flush readiness signal");
+                    member.run(netbench::engine_options(&args.spec, args.workers, *index))
+                });
         if let Err(error) = result {
             eprintln!("recovery member {index}: {error}");
             std::process::exit(1);
@@ -211,14 +205,16 @@ fn main() {
         })
     };
 
-    let outcome =
-        heal::run_recovery_coordinator(&args.spec, args.batch, addrs, args.workers, Some(hook))
-            .unwrap_or_else(|error| {
-                if let Some(fleet) = fleet.lock().unwrap().as_mut() {
-                    fleet.kill_all();
-                }
-                panic!("recovery run failed: {error}");
-            });
+    let mut options = netbench::engine_options(&args.spec, args.workers, 0);
+    options.on_round_complete = Some(hook);
+    let outcome = netbench::connect_coordinator(&args.spec, args.batch, addrs)
+        .and_then(|coordinator| coordinator.run(options))
+        .unwrap_or_else(|error| {
+            if let Some(fleet) = fleet.lock().unwrap().as_mut() {
+                fleet.kill_all();
+            }
+            panic!("recovery run failed: {error}");
+        });
     fleet
         .lock()
         .unwrap()

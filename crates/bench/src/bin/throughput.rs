@@ -225,7 +225,6 @@ fn spec(args: &Args, seed: u64) -> NetSpec {
 /// here), so the setup column measures the same code path the TCP mode
 /// distributes.
 fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec<RoundReport>) {
-    use atom_runtime::EngineOptions;
     if spec.trace {
         // The harness process persists across sweep cells while round
         // numbers repeat, so each traced run starts from a clean recorder.
@@ -233,16 +232,10 @@ fn run_memory(spec: &NetSpec, workers: usize) -> (Duration, usize, Duration, Vec
         atom_obs::set_process(0);
         atom_obs::set_enabled(true);
     }
-    let jobs = if spec.sharded {
-        netbench::build_sharded_jobs(spec, true)
-    } else {
-        netbench::build_jobs(spec)
-    };
-    let mut options = EngineOptions::with_workers(workers);
-    if !spec.delay.is_zero() {
-        options.stragglers = (0..spec.groups).map(|gid| (gid, spec.delay)).collect();
-    }
-    let engine = Engine::new(options);
+    let jobs = (0..spec.rounds)
+        .map(|round| netbench::round_job(spec, round, &[], &[], true))
+        .collect();
+    let engine = Engine::new(netbench::engine_options(spec, workers, 0));
     let start = Instant::now();
     let reports = engine.run_rounds(jobs);
     let wall = start.elapsed();
@@ -289,16 +282,17 @@ fn member_command(spec: &NetSpec, addrs: &[String], index: usize, workers: usize
 /// One TCP-loopback run split across `processes` OS processes: this
 /// process coordinates, a [`ProcessFleet`] of freshly spawned children
 /// hosts the rest of the groups (with `processes == 1`, nobody else).
-/// Returns (wall, delivered, max setup latency). The timed region covers
-/// only the engine run — job derivation, binds and the connect retry loop
-/// happen before the clock starts on every side (each member signals
-/// readiness over its stdout) — mirroring `run_memory`, which also derives
-/// jobs untimed. What remains in the TCP column is the genuine transport
-/// cost: frame encode/decode, socket hops, the process split.
+/// Every round runs in one fleet batch. Returns (wall, delivered, max
+/// setup latency). The timed region covers the fleet's single plan/ack/go
+/// handshake and the engine run — job derivation, binds and the connect
+/// retry loop happen before the clock starts on every side (each member
+/// signals readiness over its stdout) — mirroring `run_memory`, which also
+/// derives jobs untimed. What remains in the TCP column is the genuine
+/// transport cost: frame encode/decode, socket hops, the process split.
 ///
-/// A member that dies fails the run loudly — the engine converts the lost
-/// peer into per-round errors, and the fleet kills and reaps every child
-/// on all exit paths — never a hang, never an orphan.
+/// A member that dies fails the run loudly — the fleet reports what it
+/// could not recover from, and the [`ProcessFleet`] kills and reaps every
+/// child on all exit paths — never a hang, never an orphan.
 fn run_tcp(
     spec: &NetSpec,
     processes: usize,
@@ -317,20 +311,21 @@ fn run_tcp(
         .collect();
     let mut fleet = ProcessFleet::spawn(commands);
     // Coordinator setup overlaps the members'; member listeners may come up
-    // after this bind, but Process::start retries connects, so start order
-    // does not matter.
-    let process = netbench::Process::start(spec, addrs, 0, workers);
+    // after this bind, but connecting retries, so start order does not
+    // matter.
+    let coordinator = netbench::connect_coordinator(spec, spec.rounds.max(1), addrs)
+        .unwrap_or_else(|error| panic!("coordinator setup: {error}"));
     fleet
         .await_ready(FLEET_TIMEOUT)
         .unwrap_or_else(|error| panic!("fleet readiness: {error}"));
     let start = Instant::now();
-    let results = process.try_run();
+    let outcome = coordinator.run(netbench::engine_options(spec, workers, 0));
     let wall = start.elapsed();
-    let reports: Vec<_> = match results.into_iter().collect::<Result<Vec<_>, _>>() {
-        Ok(reports) => reports,
+    let reports = match outcome {
+        Ok(outcome) => outcome.reports,
         Err(error) => {
             fleet.kill_all();
-            panic!("tcp run failed: {error:?}");
+            panic!("tcp run failed: {error}");
         }
     };
     let delivered: usize = reports.iter().map(|r| r.output.plaintexts.len()).sum();
@@ -546,12 +541,24 @@ fn main() {
         // before the readiness signal so the parent's timed region starts
         // with both engines ready.
         let spec = spec(&args, member.seed);
-        let process =
-            netbench::Process::start(&spec, member.addrs.clone(), member.index, member.workers);
+        let process = netbench::connect_member(
+            &spec,
+            spec.rounds.max(1),
+            member.addrs.clone(),
+            member.index,
+            false,
+        )
+        .unwrap_or_else(|error| panic!("member setup: {error}"));
         println!("{}", netbench::READY_LINE);
         use std::io::Write;
         std::io::stdout().flush().expect("flush readiness signal");
-        process.run();
+        process
+            .run(netbench::engine_options(
+                &spec,
+                member.workers,
+                member.index,
+            ))
+            .unwrap_or_else(|error| panic!("member run: {error}"));
         return;
     }
     let mut telemetry: Vec<atom_obs::Snapshot> = Vec::new();

@@ -427,14 +427,13 @@ pub fn print_ablation_topology(groups: usize) {
 /// Ablation: per-iteration mixing time vs message length (number of group
 /// elements per ciphertext).
 pub fn ablation_msgsize(group_size: usize, messages: usize, lens: &[usize]) -> Vec<(usize, f64)> {
-    use crate::fixtures::{bench_config, encrypted_batch};
-    use atom_core::directory::setup_round;
+    use crate::fixtures::{bench_config, bench_setup, encrypted_batch};
     lens.iter()
         .map(|&len| {
             let mut config = bench_config(Defense::Trap, 2, group_size);
             config.message_len = len;
             let padded = crate::fixtures::payload_len(&config);
-            let setup = setup_round(&config, &mut bench_rng()).expect("setup");
+            let setup = bench_setup(&config);
             let group = setup.groups[0].clone();
             let batch = encrypted_batch(&group.public_key, messages, padded, &mut bench_rng());
             let participating = group.participating(&[]).unwrap();

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_core::config::{AtomConfig, Defense, TopologyKind};
-use atom_core::directory::{setup_round, GroupContext, RoundSetup};
+use atom_core::directory::{derive_setup, GroupContext, RoundSetup};
 use atom_core::message::{nizk_payload_len, trap_payload_len, MixPayload};
 use atom_crypto::elgamal::{encrypt_message, MessageCiphertext, PublicKey};
 use atom_crypto::encoding::encode_message_padded;
@@ -32,9 +32,9 @@ pub fn bench_config(defense: Defense, groups: usize, group_size: usize) -> AtomC
     }
 }
 
-/// Sets up a round for benchmarking.
+/// Sets up a round for benchmarking (deterministic in the config's beacon).
 pub fn bench_setup(config: &AtomConfig) -> RoundSetup {
-    setup_round(config, &mut bench_rng()).expect("bench setup")
+    derive_setup(config).expect("bench setup")
 }
 
 /// The padded payload length for a config.

@@ -17,7 +17,6 @@
 
 pub mod experiments;
 pub mod fixtures;
-pub mod heal;
 pub mod ingress;
 pub mod netbench;
 pub mod recovery;

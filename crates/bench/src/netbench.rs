@@ -1,12 +1,17 @@
-//! Shared pieces of the multi-process (TCP transport) harnesses.
+//! Workload derivation and process orchestration for multi-process (TCP
+//! transport) runs.
 //!
 //! A multi-process run has no shared memory, so every process derives the
 //! *same* rounds — setups, submissions, seeds — from a [`NetSpec`] it was
-//! handed on the command line, and the node→process assignment is a pure
-//! function of `(groups, processes)`. This module owns that derivation plus
-//! a canonical byte serialization of round outputs, which is what the TCP
-//! loopback equivalence test compares against a single-process run —
-//! byte-for-byte, not just set-equal.
+//! handed on the command line. [`round_job`] is that derivation, a pure
+//! function of the spec, the round and the membership the fleet agreed on;
+//! it is the [`JobBuilder`](atom_runtime::fleet::JobBuilder) this module
+//! hands to the control plane in [`atom_runtime::fleet`], which runs every
+//! multi-process deployment, faulty or not. This module also owns a
+//! canonical byte serialization of round outputs, which the TCP
+//! equivalence tests compare against the in-memory [`build_reference`] —
+//! byte-for-byte, not just set-equal — and [`ProcessFleet`], which spawns
+//! and reaps the member processes of a local deployment.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -17,11 +22,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use atom_core::config::{AtomConfig, Defense};
-use atom_core::directory::{derive_setup, setup_round, RoundSetup};
-use atom_core::error::AtomResult;
+use atom_core::directory::{derive_setup, RoundSetup};
 use atom_core::message::{make_trap_submission, TrapSubmission};
-use atom_net::{NodeId, TcpOptions, TcpTransport};
-use atom_runtime::{Engine, EngineOptions, EngineRole, RoundJob, RoundReport, RoundSubmissions};
+use atom_runtime::fleet::{self, FleetShape, JobBuilder};
+use atom_runtime::{Engine, EngineOptions, RoundJob, RoundReport, RoundSubmissions};
 
 /// Everything a process needs to derive a multi-process workload
 /// deterministically.
@@ -29,7 +33,7 @@ use atom_runtime::{Engine, EngineOptions, EngineRole, RoundJob, RoundReport, Rou
 pub struct NetSpec {
     /// Anytrust groups in the deployment.
     pub groups: usize,
-    /// Rounds, all in flight at once.
+    /// Rounds of the run.
     pub rounds: usize,
     /// Submissions per round.
     pub messages: usize,
@@ -103,7 +107,7 @@ impl Default for NetSpec {
 }
 
 /// The deployment configuration of round `round` under `spec`.
-pub(crate) fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
+fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
     let mut config = AtomConfig::test_default();
     config.defense = Defense::Trap;
     config.num_groups = spec.groups;
@@ -116,13 +120,15 @@ pub(crate) fn round_config(spec: &NetSpec, round: usize) -> AtomConfig {
     config
 }
 
-/// The spec's submissions for one round, encrypted to the given directory.
-pub(crate) fn round_submissions(
-    spec: &NetSpec,
-    round: usize,
-    setup: &RoundSetup,
-    rng: &mut StdRng,
-) -> Vec<TrapSubmission> {
+/// The spec's submissions for one round, encrypted to the given directory,
+/// from a stream keyed on `(seed, round)` alone — so any single round can
+/// be re-derived in isolation. They encrypt to the entry groups' DKG keys,
+/// which derive from the beacon and not from membership, so the same
+/// submission bytes stay valid under any eviction.
+fn round_submissions(spec: &NetSpec, round: usize, setup: &RoundSetup) -> Vec<TrapSubmission> {
+    let mut rng = StdRng::seed_from_u64(
+        spec.seed ^ (round as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x4845_414C,
+    );
     (0..spec.messages)
         .map(|i| {
             let gid = i % spec.groups;
@@ -133,7 +139,7 @@ pub(crate) fn round_submissions(
                 setup.config.round,
                 format!("net r{round} m{i}").as_bytes(),
                 setup.config.message_len,
-                rng,
+                &mut rng,
             )
             .expect("derive submission")
             .0
@@ -141,86 +147,68 @@ pub(crate) fn round_submissions(
         .collect()
 }
 
-/// Derives the spec's rounds: a trap-variant deployment with fixed-length
-/// messages, identical in every process for equal specs. The directory is
-/// prebuilt via the monolithic rng-threaded [`setup_round`] (the historical
-/// path; [`build_derived_jobs`] is the per-group-stream equivalent).
-pub fn build_jobs(spec: &NetSpec) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.rounds)
+/// Round `round` of the spec: a trap-variant deployment with fixed-length
+/// messages whose directory excludes the `evicted` servers and heals around
+/// the mid-flight `failed` ones — identical in every process for equal
+/// arguments. Under [`NetSpec::sharded`] the directory is derived inside
+/// the engine run, and a process that needs no submissions (a member)
+/// derives nothing up front; otherwise the directory is prebuilt. Only
+/// `with_submissions` callers (the coordinator, the in-memory reference)
+/// get the round's submissions.
+pub fn round_job(
+    spec: &NetSpec,
+    round: usize,
+    evicted: &[usize],
+    failed: &[usize],
+    with_submissions: bool,
+) -> RoundJob {
+    let mut config = round_config(spec, round);
+    config.evicted_servers = evicted.to_vec();
+    let seed = spec.seed.wrapping_add(round as u64);
+    let setup = (with_submissions || !spec.sharded)
+        .then(|| derive_setup(&config).expect("derive round directory"));
+    let submissions = match (&setup, with_submissions) {
+        (Some(setup), true) => round_submissions(spec, round, setup),
+        _ => Vec::new(),
+    };
+    let submissions = RoundSubmissions::Trap(submissions);
+    let mut job = match setup {
+        Some(setup) if !spec.sharded => RoundJob::new(setup, submissions, seed),
+        _ => RoundJob::sharded(config, submissions, seed),
+    };
+    job.failed_servers = failed.to_vec();
+    job
+}
+
+/// The in-memory reference for a fleet run: every round rebuilt with the
+/// membership (`round_evicted`) and mid-flight failure set (`round_failed`)
+/// the fleet settled on, with a prebuilt directory, run on one in-process
+/// engine. A round missing from either slice ran with the full membership,
+/// so a fault-free run's reference is `build_reference(spec, &[], &[])`.
+/// `serialize_reports` of this must equal the fleet's — sharded or not,
+/// healed or not: recovery is re-derivation, not improvisation.
+pub fn build_reference(
+    spec: &NetSpec,
+    round_evicted: &[Vec<usize>],
+    round_failed: &[Vec<usize>],
+) -> Vec<RoundReport> {
+    let prebuilt = NetSpec {
+        sharded: false,
+        ..spec.clone()
+    };
+    let none = Vec::new();
+    let jobs: Vec<RoundJob> = (0..spec.rounds)
         .map(|round| {
-            let config = round_config(spec, round);
-            let setup = setup_round(&config, &mut rng).expect("derive round setup");
-            let submissions = round_submissions(spec, round, &setup, &mut rng);
-            RoundJob::new(
-                setup,
-                RoundSubmissions::Trap(submissions),
-                spec.seed.wrapping_add(round as u64),
-            )
+            let evicted = round_evicted.get(round).unwrap_or(&none);
+            let failed = round_failed.get(round).unwrap_or(&none);
+            round_job(&prebuilt, round, evicted, failed, true)
         })
-        .collect()
-}
-
-/// The spec's rounds with a **prebuilt** directory derived from the
-/// per-group beacon streams ([`derive_setup`]). This is the in-memory
-/// reference a sharded run is diffed against: [`build_sharded_jobs`] over
-/// the same spec must produce byte-identical round outputs.
-pub fn build_derived_jobs(spec: &NetSpec) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.rounds)
-        .map(|round| {
-            let config = round_config(spec, round);
-            let setup = derive_setup(&config).expect("derive round setup");
-            let submissions = round_submissions(spec, round, &setup, &mut rng);
-            RoundJob::new(
-                setup,
-                RoundSubmissions::Trap(submissions),
-                spec.seed.wrapping_add(round as u64),
-            )
-        })
-        .collect()
-}
-
-/// The spec's rounds as **sharded** jobs: the directory is derived inside
-/// the engine run, split across the participating processes. Only the
-/// coordinator needs submissions (`with_submissions`) — it derives the full
-/// directory locally to play the users, exactly like clients reading the
-/// published directory — while members pass an empty set and so never
-/// derive a non-hosted group's DKG at all.
-pub fn build_sharded_jobs(spec: &NetSpec, with_submissions: bool) -> Vec<RoundJob> {
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    (0..spec.rounds)
-        .map(|round| {
-            let config = round_config(spec, round);
-            let submissions = if with_submissions {
-                let setup = derive_setup(&config).expect("derive round setup");
-                round_submissions(spec, round, &setup, &mut rng)
-            } else {
-                Vec::new()
-            };
-            RoundJob::sharded(
-                config,
-                RoundSubmissions::Trap(submissions),
-                spec.seed.wrapping_add(round as u64),
-            )
-        })
-        .collect()
-}
-
-/// The node→process assignment: groups round-robin over every process
-/// (coordinator included), the orchestrator node (always last) on process
-/// 0. Every process must compute the identical map.
-pub fn owner_map(groups: usize, processes: usize) -> Vec<usize> {
-    assert!(processes >= 1, "at least the coordinator process");
-    let mut owner: Vec<usize> = (0..groups).map(|gid| gid % processes).collect();
-    owner.push(0);
-    owner
-}
-
-/// The group ids process `index` hosts under [`owner_map`].
-pub fn hosted_groups(owner: &[NodeId], index: usize) -> Vec<usize> {
-    let groups = owner.len() - 1; // last node is the orchestrator
-    (0..groups).filter(|&gid| owner[gid] == index).collect()
+        .collect();
+    Engine::with_workers(2)
+        .run_rounds(jobs)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .expect("in-memory reference run")
 }
 
 /// Canonical bytes of the deterministic fields of round outputs
@@ -253,6 +241,87 @@ pub fn serialize_reports(reports: &[RoundReport]) -> Vec<u8> {
     out
 }
 
+/// The engine options of fleet process `process` under `spec`: the stall
+/// budget and emulated compute everywhere, the round clock on the
+/// coordinator only (it owns the diagnosis; a member that also deadlined
+/// would race its abort against the coordinator's verdict and turn `Slow`
+/// into `Blamed`), and the slow-loris drip on member process 1.
+pub fn engine_options(spec: &NetSpec, workers: usize, process: usize) -> EngineOptions {
+    let mut options = EngineOptions::with_workers(workers);
+    options.stall_timeout = spec.stall_timeout;
+    let drip = if process == 1 && !spec.loris.is_zero() {
+        spec.loris
+    } else {
+        spec.delay
+    };
+    if !drip.is_zero() {
+        options.stragglers = (0..spec.groups).map(|gid| (gid, drip)).collect();
+    }
+    if process == 0 {
+        options.round_deadline = spec.round_deadline;
+    }
+    options
+}
+
+/// The fleet shape of `spec` run in batches of `batch` rounds.
+fn fleet_shape(spec: &NetSpec, batch: usize) -> FleetShape {
+    let config = round_config(spec, 0);
+    FleetShape {
+        groups: spec.groups,
+        rounds: spec.rounds,
+        batch,
+        num_servers: config.num_servers,
+        group_size: config.group_size,
+    }
+}
+
+/// [`round_job`] over `spec`, as the fleet's job builder.
+fn job_builder(spec: &NetSpec) -> JobBuilder {
+    let spec = spec.clone();
+    Box::new(move |round, evicted, failed, with_submissions| {
+        round_job(&spec, round, evicted, failed, with_submissions)
+    })
+}
+
+/// Turns on fleet-wide recording in this process if the spec asks for it.
+fn start_tracing(spec: &NetSpec, process: usize) {
+    if spec.trace {
+        atom_obs::set_process(process as u32);
+        atom_obs::set_enabled(true);
+    }
+}
+
+/// Connects the coordinator (process 0, address 0 of `addrs`) of a fleet
+/// running `spec` in batches of `batch` rounds, and derives the first
+/// batch's jobs. Nothing here is timed work of the run itself.
+pub fn connect_coordinator(
+    spec: &NetSpec,
+    batch: usize,
+    addrs: Vec<String>,
+) -> Result<fleet::Coordinator, String> {
+    start_tracing(spec, 0);
+    fleet::Coordinator::connect(fleet_shape(spec, batch), addrs, job_builder(spec))
+}
+
+/// Connects member `index` of a fleet running `spec` in batches of `batch`
+/// rounds. With `rejoin` it announces itself as a restarted process.
+pub fn connect_member(
+    spec: &NetSpec,
+    batch: usize,
+    addrs: Vec<String>,
+    index: usize,
+    rejoin: bool,
+) -> Result<fleet::Member, String> {
+    start_tracing(spec, index);
+    fleet::Member::connect(
+        fleet_shape(spec, batch),
+        addrs,
+        index,
+        rejoin,
+        job_builder(spec),
+    )
+}
+
 /// Reserves `count` distinct loopback addresses by briefly binding port-0
 /// listeners. Racy in principle — the listeners are dropped before the
 /// processes rebind — but the window is milliseconds, a collision fails
@@ -267,91 +336,6 @@ pub fn free_addrs(count: usize) -> Vec<String> {
         .iter()
         .map(|listener| listener.local_addr().expect("resolve port").to_string())
         .collect()
-}
-
-/// One process's share of a multi-process run, split into an untimed setup
-/// phase ([`Process::start`]: derive jobs, bind, connect) and the run
-/// itself ([`Process::run`]) — so benchmarks can time the engine without
-/// charging it for workload derivation or connection churn.
-///
-/// Panics on transport setup failure or if any round errors — the callers
-/// are benchmarks and CLI harnesses where loud is right.
-pub struct Process {
-    transport: TcpTransport,
-    role: EngineRole,
-    options: EngineOptions,
-    jobs: Vec<RoundJob>,
-}
-
-impl Process {
-    /// Derives the spec's jobs, binds node `index` of `addrs` and connects
-    /// to every peer (retrying while they start up). Under
-    /// [`NetSpec::sharded`] the jobs carry only the configuration (plus, on
-    /// the coordinator, the submissions): the DKGs themselves run inside
-    /// [`Process::run`], sharded across the processes.
-    pub fn start(spec: &NetSpec, addrs: Vec<String>, index: usize, workers: usize) -> Self {
-        if spec.trace {
-            atom_obs::set_process(index as u32);
-            atom_obs::set_enabled(true);
-        }
-        let owner = owner_map(spec.groups, addrs.len());
-        let hosted = hosted_groups(&owner, index);
-        let transport = TcpTransport::bind(addrs, owner, index, TcpOptions::default())
-            .expect("bind tcp transport");
-        transport.connect_peers().expect("connect tcp peers");
-        let role = if index == 0 {
-            EngineRole::coordinator(hosted)
-        } else {
-            EngineRole::member(hosted)
-        };
-        let mut options = EngineOptions::with_workers(workers);
-        options.stall_timeout = spec.stall_timeout;
-        if !spec.delay.is_zero() {
-            options.stragglers = (0..spec.groups).map(|gid| (gid, spec.delay)).collect();
-        }
-        let jobs = if spec.sharded {
-            build_sharded_jobs(spec, index == 0)
-        } else {
-            build_jobs(spec)
-        };
-        Self {
-            transport,
-            role,
-            options,
-            jobs,
-        }
-    }
-
-    /// Plays the role to completion and returns one result per round
-    /// (authoritative on process 0, stubs elsewhere). A vanished peer
-    /// process surfaces here as per-round errors — via the engine's
-    /// send-failure containment and stall detector — never as a hang.
-    pub fn try_run(self) -> Vec<AtomResult<RoundReport>> {
-        let results =
-            Engine::new(self.options).run_rounds_on(self.jobs, &self.transport, &self.role);
-        self.transport.shutdown();
-        results
-    }
-
-    /// [`Process::try_run`], panicking on the first round error — for
-    /// harnesses where loud is right.
-    pub fn run(self) -> Vec<RoundReport> {
-        self.try_run()
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
-            .expect("multi-process round failed")
-    }
-}
-
-/// [`Process::start`] + [`Process::run`] in one call, for harnesses that
-/// do their own timing (or none).
-pub fn run_process(
-    spec: &NetSpec,
-    addrs: Vec<String>,
-    index: usize,
-    workers: usize,
-) -> Vec<RoundReport> {
-    Process::start(spec, addrs, index, workers).run()
 }
 
 /// The readiness line a non-coordinator process of an orchestrated
@@ -708,27 +692,18 @@ impl Drop for ProcessFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn owner_map_round_robins_groups_and_pins_the_orchestrator() {
-        assert_eq!(owner_map(4, 2), vec![0, 1, 0, 1, 0]);
-        assert_eq!(owner_map(3, 1), vec![0, 0, 0, 0]);
-        assert_eq!(hosted_groups(&owner_map(4, 2), 0), vec![0, 2]);
-        assert_eq!(hosted_groups(&owner_map(4, 2), 1), vec![1, 3]);
-        assert_eq!(hosted_groups(&owner_map(4, 3), 2), vec![2]);
-    }
+    use atom_runtime::fleet::process_servers;
 
     #[test]
     fn job_derivation_is_deterministic() {
         let spec = NetSpec::default();
-        let a = build_jobs(&spec);
-        let b = build_jobs(&spec);
-        assert_eq!(a.len(), b.len());
-        for (ja, jb) in a.iter().zip(&b) {
-            assert_eq!(ja.seed, jb.seed);
+        for round in 0..spec.rounds {
+            let a = round_job(&spec, round, &[], &[], true);
+            let b = round_job(&spec, round, &[], &[], true);
+            assert_eq!(a.seed, b.seed);
             assert_eq!(
-                ja.full_setup().unwrap().groups[0].public_key.0,
-                jb.full_setup().unwrap().groups[0].public_key.0
+                a.full_setup().unwrap().groups[0].public_key.0,
+                b.full_setup().unwrap().groups[0].public_key.0
             );
         }
     }
@@ -739,20 +714,20 @@ mod tests {
             groups: 2,
             rounds: 2,
             messages: 4,
+            sharded: true,
             ..NetSpec::default()
         };
-        let reference: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_derived_jobs(&spec))
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .unwrap();
         let sharded: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_sharded_jobs(&spec, true))
+            .run_rounds(
+                (0..spec.rounds)
+                    .map(|round| round_job(&spec, round, &[], &[], true))
+                    .collect(),
+            )
             .into_iter()
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(
-            serialize_reports(&reference),
+            serialize_reports(&build_reference(&spec, &[], &[])),
             serialize_reports(&sharded),
             "sharded derivation must not change a single output byte"
         );
@@ -763,8 +738,12 @@ mod tests {
 
     #[test]
     fn memberless_sharded_jobs_skip_submission_generation() {
-        let spec = NetSpec::default();
-        for job in build_sharded_jobs(&spec, false) {
+        let spec = NetSpec {
+            sharded: true,
+            ..NetSpec::default()
+        };
+        for round in 0..spec.rounds {
+            let job = round_job(&spec, round, &[], &[], false);
             match &job.submissions {
                 RoundSubmissions::Trap(subs) => assert!(subs.is_empty()),
                 other => panic!("expected trap submissions, got {other:?}"),
@@ -781,14 +760,75 @@ mod tests {
             messages: 4,
             ..NetSpec::default()
         };
-        let reports: Vec<_> = Engine::with_workers(2)
-            .run_rounds(build_jobs(&spec))
-            .into_iter()
-            .collect::<Result<_, _>>()
-            .unwrap();
+        let reports = build_reference(&spec, &[], &[]);
         let bytes = serialize_reports(&reports);
         let again = serialize_reports(&reports);
         assert_eq!(bytes, again);
         assert!(bytes.len() > 4, "serialization must not be empty");
+    }
+
+    #[test]
+    fn reference_is_deterministic() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 2,
+            messages: 6,
+            iterations: 2,
+            honest: 2,
+            ..NetSpec::default()
+        };
+        let evicted = vec![Vec::new(), process_servers(9, 3, 2)];
+        let failed = vec![Vec::new(), Vec::new()];
+        let once = serialize_reports(&build_reference(&spec, &evicted, &failed));
+        let twice = serialize_reports(&build_reference(&spec, &evicted, &failed));
+        assert_eq!(once, twice);
+        // The intact fleet's reference delivers every message too: empty
+        // logs are the fault-free case.
+        let intact = build_reference(&spec, &[], &[]);
+        assert_eq!(
+            intact
+                .iter()
+                .map(|r| r.output.plaintexts.len())
+                .sum::<usize>(),
+            spec.rounds * spec.messages
+        );
+    }
+
+    /// The zero-fault case of the fleet loop over several epochs: batches
+    /// smaller than the run, so later batches run behind a non-zero epoch
+    /// fence with a fresh handshake each — and the outputs still match the
+    /// in-memory reference byte for byte, with nothing evicted.
+    #[test]
+    fn fault_free_multi_epoch_fleet_matches_the_reference() {
+        let spec = NetSpec {
+            groups: 3,
+            rounds: 4,
+            messages: 6,
+            seed: 0xE90C,
+            stall_timeout: Duration::from_secs(10),
+            ..NetSpec::default()
+        };
+        let batch = 1;
+        let addrs = free_addrs(2);
+        let member = {
+            let (spec, addrs) = (spec.clone(), addrs.clone());
+            std::thread::spawn(move || {
+                connect_member(&spec, batch, addrs, 1, false)?.run(engine_options(&spec, 2, 1))
+            })
+        };
+        let outcome = connect_coordinator(&spec, batch, addrs)
+            .and_then(|coordinator| coordinator.run(engine_options(&spec, 2, 0)))
+            .expect("fault-free fleet run");
+        member.join().unwrap().expect("member exits cleanly");
+
+        assert_eq!(outcome.epochs, spec.rounds, "one epoch per batch");
+        assert!(outcome.evictions.is_empty() && outcome.rejoins.is_empty());
+        assert!(outcome.detected_at.is_none());
+        assert!(outcome.round_evicted.iter().all(Vec::is_empty));
+        assert!(outcome.round_failed.iter().all(Vec::is_empty));
+        assert_eq!(
+            serialize_reports(&outcome.reports),
+            serialize_reports(&build_reference(&spec, &[], &[]))
+        );
     }
 }

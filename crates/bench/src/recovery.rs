@@ -1,7 +1,7 @@
 //! The recorded baseline for the recovery experiment (`BENCH_recovery.json`).
 //!
 //! The `recovery` bin runs a fleet through a kill → evict → heal → rejoin
-//! cycle (see [`crate::heal`]) and emits this file; the `fig_recovery` bin
+//! cycle (see [`atom_runtime::fleet`]) and emits this file; the `fig_recovery` bin
 //! reads it back and renders the healing timeline. As with the scaling
 //! baseline, emitter and parser live together and round-trip under unit
 //! test — the offline build vendors a no-op `serde`, so the JSON is written

@@ -3,7 +3,8 @@
 //! that is byte-identical to the same scenario run in-process over
 //! `InMemoryNetwork`. Spawns the `atom-node` binary (coordinator +
 //! members), reads the coordinator's canonical output serialization and
-//! diffs it against the in-memory run — whole bytes, not summaries. Also
+//! diffs it against the in-memory reference (`netbench::build_reference`
+//! with empty eviction logs) — whole bytes, not summaries. Also
 //! the failure-path acceptance: a member SIGKILLed mid-deployment must be
 //! *evicted*, the surviving fleet must keep delivering rounds without it,
 //! and a restarted member must rejoin and contribute again — no hang, no
@@ -13,9 +14,8 @@ use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use atom_bench::heal;
 use atom_bench::netbench::{self, NetSpec, ProcessFleet};
-use atom_runtime::{Engine, FaultKind, RoundCompleteHook};
+use atom_runtime::{FaultKind, RoundCompleteHook};
 
 /// The `atom-node` command hosting process `index` of `spec`'s deployment.
 fn node_command(spec: &NetSpec, addrs: &[String], index: usize, out: Option<&str>) -> Command {
@@ -89,12 +89,7 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
     };
 
     // Reference: the same spec, single process, in-memory transport.
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = netbench::serialize_reports(&netbench::build_reference(&spec, &[], &[]));
 
     let addrs = netbench::free_addrs(2);
     let out = std::env::temp_dir().join(format!("atom_tcp_equivalence_{}.bin", std::process::id()));
@@ -119,8 +114,8 @@ fn two_process_tcp_run_is_byte_identical_to_in_memory() {
 /// where each `atom-node` derives only the DKGs of its hosted groups and
 /// the rest of the directory travels as `setup` wire frames — must produce
 /// round outputs byte-identical to a single-process in-memory run whose
-/// directory was derived monolithically (`netbench::build_derived_jobs`,
-/// i.e. `atom_core::directory::derive_setup`).
+/// directory was derived monolithically (`netbench::build_reference`,
+/// which prebuilds via `atom_core::directory::derive_setup`).
 #[test]
 fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     let spec = NetSpec {
@@ -136,12 +131,7 @@ fn two_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
 
     // Reference: the same spec, single process, prebuilt monolithic
     // derivation over the identical per-group beacon streams.
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_derived_jobs(&spec))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = netbench::serialize_reports(&netbench::build_reference(&spec, &[], &[]));
 
     let addrs = netbench::free_addrs(2);
     let out = std::env::temp_dir().join(format!(
@@ -211,12 +201,7 @@ fn three_process_tcp_run_is_byte_identical_to_in_memory() {
         ..NetSpec::default()
     };
 
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_jobs(&spec))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = netbench::serialize_reports(&netbench::build_reference(&spec, &[], &[]));
     assert!(!want.is_empty());
 
     let got = three_process_output(&spec, "tcp3_equivalence");
@@ -243,12 +228,7 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
         ..NetSpec::default()
     };
 
-    let in_memory: Vec<_> = Engine::with_workers(3)
-        .run_rounds(netbench::build_derived_jobs(&spec))
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("in-memory reference run");
-    let want = netbench::serialize_reports(&in_memory);
+    let want = netbench::serialize_reports(&netbench::build_reference(&spec, &[], &[]));
     assert!(!want.is_empty());
 
     let got = three_process_output(&spec, "sharded3_equivalence");
@@ -258,11 +238,10 @@ fn three_process_sharded_run_is_byte_identical_to_monolithic_derivation() {
     );
 }
 
-/// The `atom-node` command for process `index` of a **self-healing**
-/// deployment: the base command plus the churn-facing flags (`--heal`,
-/// `--batch`, `--honest`, and the workload's `--delay-ms`, which the
-/// non-healing tests leave at zero).
-fn heal_node_command(
+/// The `atom-node` command for process `index` of a churn drill: the base
+/// command plus the churn-facing flags (`--batch`, `--honest`, and the
+/// workload's `--delay-ms`, which the equivalence tests leave at zero).
+fn churn_node_command(
     spec: &NetSpec,
     addrs: &[String],
     index: usize,
@@ -275,7 +254,6 @@ fn heal_node_command(
         .arg(spec.delay.as_millis().to_string())
         .arg("--honest")
         .arg(spec.honest.to_string())
-        .arg("--heal")
         .arg("--batch")
         .arg(batch.to_string());
     if rejoin {
@@ -284,9 +262,8 @@ fn heal_node_command(
     command
 }
 
-/// The chaos acceptance test — the failure path upgraded from "fails with
-/// errors, not hangs" to "heals": a member of a three-OS-process healing
-/// deployment is SIGKILLed mid-run. The coordinator (in-test, so the
+/// The chaos acceptance test: a member of a three-OS-process deployment is
+/// SIGKILLed mid-run. The coordinator (in-test, so the
 /// outcome is directly observable) must diagnose the loss, evict exactly
 /// that process, and keep completing rounds with the survivors; a fresh
 /// `atom-node --rejoin` started on the killed member's address must be
@@ -316,8 +293,8 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
     let addrs = netbench::free_addrs(3);
 
     let fleet = Arc::new(Mutex::new(Some(ProcessFleet::spawn(vec![
-        heal_node_command(&spec, &addrs, 1, batch, false),
-        heal_node_command(&spec, &addrs, 2, batch, false),
+        churn_node_command(&spec, &addrs, 1, batch, false),
+        churn_node_command(&spec, &addrs, 2, batch, false),
     ]))));
     let killed_status: Arc<Mutex<Option<ExitStatus>>> = Arc::new(Mutex::new(None));
 
@@ -337,13 +314,16 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
             }
             if round == 3 {
                 fleet
-                    .restart_member(2, heal_node_command(&spec, &addrs, 2, batch, true))
+                    .restart_member(2, churn_node_command(&spec, &addrs, 2, batch, true))
                     .expect("restart the killed member");
             }
         })
     };
 
-    let outcome = heal::run_recovery_coordinator(&spec, batch, addrs.clone(), 2, Some(hook))
+    let mut options = netbench::engine_options(&spec, 2, 0);
+    options.on_round_complete = Some(hook);
+    let outcome = netbench::connect_coordinator(&spec, batch, addrs.clone())
+        .and_then(|coordinator| coordinator.run(options))
         .expect("recovery completes every round despite the kill");
 
     // The mid-round SIGKILL was diagnosed and exactly process 2 evicted.
@@ -391,8 +371,7 @@ fn killed_member_is_evicted_fleet_heals_and_restart_rejoins() {
 
     // Byte-determinism given the eviction log: an in-memory rebuild from
     // the recorded per-round membership reproduces the fleet's outputs.
-    let reference =
-        heal::build_healed_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
+    let reference = netbench::build_reference(&spec, &outcome.round_evicted, &outcome.round_failed);
     assert_eq!(
         netbench::serialize_reports(&outcome.reports),
         netbench::serialize_reports(&reference),

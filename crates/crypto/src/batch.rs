@@ -57,11 +57,9 @@
 //! * Window size 4: with 254-bit exponents, w = 4 minimizes
 //!   `16·2^w + 256/w·(1 + 2^w⁻¹/2^w)`-style cost for both the one-shot and
 //!   precomputed cases, and keeps tables at 512 bytes per base row.
-//! * Montgomery multiplication (`Modulus::mont_mul`) is implemented and
-//!   tested in the vendored field, but the moduli here have the special
-//!   form `2^k − c` whose fold reduction needs ~20 word multiplies against
-//!   REDC's ~36, so the exponentiation ladders use the fold form. The
-//!   `crypto_batch` microbench keeps the comparison honest.
+//! * The moduli have the special form `2^k − c`, so field multiplication
+//!   reduces by folding (`2^256 ≡ c`): ~20 word multiplies, against the
+//!   ~36 of Montgomery REDC.
 //! * Leading zero windows are skipped (`U256::bits`), so short exponents
 //!   (Lagrange indices, Feldman evaluation points) cost proportionally
 //!   less.

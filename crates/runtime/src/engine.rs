@@ -566,6 +566,9 @@ struct ExitState {
     /// every remotely hosted group, so the merged report and fleet trace
     /// span all processes.
     telemetry: Vec<TelemetryFrame>,
+    /// Set by [`claim_finalization`] when one handler takes ownership of
+    /// the round's finalization.
+    finalizing: bool,
 }
 
 /// What actor construction needs from a [`RoundJob`], retained per round so
@@ -1213,6 +1216,7 @@ impl Engine {
                     group_mix_messages: 0,
                     group_mix_bytes: 0,
                     telemetry: Vec::new(),
+                    finalizing: false,
                 }),
                 result: Mutex::new(result),
                 intake_mix_messages: AtomicU64::new(0),
@@ -2344,11 +2348,28 @@ fn on_exit_frame(shared: &Shared<'_>, node: usize, frame: ExitFrame) {
         exit.group_mix_bytes += frame.mix_bytes;
         exit.exits_done += 1;
         exit.pipelined = exit.pipelined.max(frame.finished_virtual);
-        exit.exits_done == job.num_groups() && telemetry_complete(shared, job, &exit)
+        claim_finalization(shared, job, &mut exit)
     };
     if complete {
         finalize_round(shared, round);
     }
+}
+
+/// Claims the round's finalization under its exit lock: true exactly once,
+/// for the first caller that sees every exit frame and all awaited
+/// telemetry in. The exit and telemetry handlers race to complete a round
+/// on different workers; without the claim both could run
+/// [`finalize_round`], and the second would find the collected state
+/// already taken.
+fn claim_finalization(shared: &Shared<'_>, job: &JobState, exit: &mut ExitState) -> bool {
+    if exit.finalizing
+        || exit.exits_done != job.num_groups()
+        || !telemetry_complete(shared, job, exit)
+    {
+        return false;
+    }
+    exit.finalizing = true;
+    true
 }
 
 /// Whether the orchestrator holds all the telemetry it is waiting for:
@@ -2392,9 +2413,9 @@ fn on_telemetry_frame(shared: &Shared<'_>, node: usize, frame: TelemetryFrame) {
             return; // duplicate snapshot from a process we already heard
         }
         exit.telemetry.push(frame);
-        exit.exits_done == job.num_groups() && telemetry_complete(shared, job, &exit)
+        claim_finalization(shared, job, &mut exit)
     };
-    if complete && !job.finalized() {
+    if complete {
         finalize_round(shared, round);
     }
 }

@@ -120,6 +120,7 @@
 
 pub mod engine;
 pub mod fault;
+pub mod fleet;
 pub mod ingress;
 pub mod scenarios;
 pub mod wire;
